@@ -1,12 +1,22 @@
 #!/usr/bin/env python
 """CI gate: the warm-workspace hot loop must stay allocation-free.
 
-Runs one 2-D Poisson PCG solve (tracing disabled — the zero-overhead path)
-through a warmed :class:`~repro.kernels.workspace.SolverWorkspace`, records
-the per-iteration allocation counters into a
-:class:`repro.observe.RunReport`, and gates on the report's
-``kernels.hot_allocs_per_iteration`` metric against the recorded baseline in
-``benchmarks/baselines/no_alloc_baseline.json``.  Exits non-zero if the hot
+Runs two PCG solves (tracing disabled — the stacked-kernel path) through a
+warmed :class:`~repro.kernels.workspace.SolverWorkspace`:
+
+* ``fsai``: FSAI on a 2-D Poisson grid over contiguous strips
+  (``--grid``/``--ranks``);
+* ``comm-mixed``: FSAIE-Comm (64 B lines) on poisson2d:32 over 64
+  multilevel-partitioned ranks, where some ranks of an operator use the
+  ELL kernel and others reduceat, so the mixed-kernel stacked path
+  (``StackedSpMVPlan`` row scatter) is exercised; the case fails if no
+  operator mixes kernels any more.
+
+It records the per-iteration allocation counters into a
+:class:`repro.observe.RunReport` (``kernels.hot_allocs_per_iteration`` is the
+worst case, ``kernels.hot_allocs_per_iteration.<case>`` each case) and gates
+every case against the recorded baseline in
+``benchmarks/baselines/no_alloc_baseline.json``.  Exits non-zero if a hot
 loop allocates more than the baseline allows — i.e. someone reintroduced a
 per-iteration array allocation on the solver path.
 
@@ -41,7 +51,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from repro.core.cg import pcg
-    from repro.core.precond import build_fsai
+    from repro.core.precond import PrecondOptions, build_fsai, build_fsaie_comm
     from repro.dist.matrix import DistMatrix
     from repro.dist.partition_map import RowPartition
     from repro.dist.vector import DistVector
@@ -51,48 +61,76 @@ def main(argv=None) -> int:
     baseline = json.loads(Path(args.baseline).read_text())
     allowed = float(baseline["hot_allocs_per_iteration"])
 
-    mat = poisson2d(args.grid)
-    partition = RowPartition.contiguous(mat.nrows, args.ranks)
-    dmat = DistMatrix.from_global(mat, partition)
-    pre = build_fsai(mat, partition)
-    rng = np.random.default_rng(0)
-    b = DistVector.from_global(rng.standard_normal(mat.nrows), partition)
+    def fsai_case():
+        mat = poisson2d(args.grid)
+        partition = RowPartition.contiguous(mat.nrows, args.ranks)
+        return mat, partition, build_fsai(mat, partition)
 
-    ws = SolverWorkspace(dmat)
-    warm = pcg(dmat, b, precond=pre, workspace=ws)  # warm-up solve
-    if not warm.converged:
-        print("error: warm-up solve did not converge", file=sys.stderr)
-        return 2
-    before = ws.allocations
-    result = pcg(dmat, b, precond=pre, workspace=ws)
-    hot = ws.allocations - before
+    def mixed_case():
+        mat = poisson2d(32)
+        partition = RowPartition.from_matrix(mat, 64, seed=0)
+        pre = build_fsaie_comm(mat, partition, PrecondOptions(line_bytes=64))
+        return mat, partition, pre
+
+    measured = {}
+    for case, build in (("fsai", fsai_case), ("comm-mixed", mixed_case)):
+        mat, partition, pre = build()
+        dmat = DistMatrix.from_global(mat, partition)
+        if case == "comm-mixed" and not any(
+            0 < op.stacked_plan().ell_blocks < partition.nparts
+            for op in (dmat, pre.g, pre.gt)
+        ):
+            print(f"error: case {case} no longer mixes ELL and reduceat ranks",
+                  file=sys.stderr)
+            return 2
+        rng = np.random.default_rng(0)
+        b = DistVector.from_global(rng.standard_normal(mat.nrows), partition)
+
+        ws = SolverWorkspace(dmat)
+        warm = pcg(dmat, b, precond=pre, workspace=ws)  # warm-up solve
+        if not warm.converged:
+            print(f"error: {case} warm-up solve did not converge", file=sys.stderr)
+            return 2
+        before = ws.allocations
+        result = pcg(dmat, b, precond=pre, workspace=ws)
+        measured[case] = (result.iterations, ws.allocations - before)
 
     # the gate reads the measured counts through the RunReport surface — the
     # same artifact 'repro report --compare' and the bench gate consume
     from repro.observe import RunReport
 
     report = RunReport(
-        meta={"label": "no-alloc-gate", "grid": args.grid, "ranks": args.ranks}
+        meta={"label": "no-alloc-gate", "grid": args.grid, "ranks": args.ranks,
+              "cases": sorted(measured)}
     )
-    report.add_metric("pcg.iterations", result.iterations)
-    report.add_metric("kernels.hot_allocs", hot)
-    report.add_metric(
-        "kernels.hot_allocs_per_iteration", hot / max(result.iterations, 1)
-    )
+    worst = 0.0
+    for case, (iterations, hot) in measured.items():
+        per_iter = hot / max(iterations, 1)
+        worst = max(worst, per_iter)
+        report.add_metric(f"pcg.iterations.{case}", iterations)
+        report.add_metric(f"kernels.hot_allocs.{case}", hot)
+        report.add_metric(f"kernels.hot_allocs_per_iteration.{case}", per_iter)
+    report.add_metric("pcg.iterations", sum(it for it, _ in measured.values()))
+    report.add_metric("kernels.hot_allocs", sum(hot for _, hot in measured.values()))
+    report.add_metric("kernels.hot_allocs_per_iteration", worst)
     if args.report:
         report.save(args.report)
-    per_iter = report.metrics["kernels.hot_allocs_per_iteration"]
 
-    print(
-        f"warm solve: {result.iterations} iterations, {hot} hot-loop array "
-        f"allocations ({per_iter:.3f}/iteration, baseline allows {allowed})"
-    )
-    if per_iter > allowed:
+    failed = False
+    for case, (iterations, hot) in measured.items():
+        per_iter = hot / max(iterations, 1)
         print(
-            "FAIL: per-iteration allocations regressed above the recorded "
-            f"baseline ({per_iter:.3f} > {allowed})",
-            file=sys.stderr,
+            f"{case}: warm solve {iterations} iterations, {hot} hot-loop array "
+            f"allocations ({per_iter:.3f}/iteration, baseline allows {allowed})"
         )
+        if per_iter > allowed:
+            failed = True
+            print(
+                f"FAIL: {case} per-iteration allocations regressed above the "
+                f"recorded baseline ({per_iter:.3f} > {allowed})",
+                file=sys.stderr,
+            )
+    if failed:
         return 1
     print("OK: hot loop is allocation-free")
     return 0

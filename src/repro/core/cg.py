@@ -338,6 +338,10 @@ def pcg(
             if history[-1] <= target:
                 converged = True
                 break
+            if rz == 0:
+                # rᵀz vanished (e.g. underflow with rtol=0): alpha would be 0
+                # and beta 0/0, so no further step can make progress
+                break
             if ckpt is not None and ckpt.due(iterations):
                 ckpt.save(iterations, history[-1], rz, x, r, d)
             with tracer.span("pcg.iteration", index=iterations) as it_span:

@@ -21,10 +21,21 @@ from repro.instrument import get_metrics, get_tracer
 from repro.mpisim.injection import get_injector
 from repro.mpisim.tracker import CommTracker
 
-__all__ = ["HaloSchedule", "PendingHaloUpdate"]
+__all__ = ["HaloSchedule", "PendingHaloUpdate", "per_message_executor"]
 
 #: Tag halo messages are accounted under (mirrors ``repro.dist.spmd``).
 _TAG_HALO = 7_000
+
+
+def per_message_executor() -> bool:
+    """Whether distributed products must run rank by rank, message by message.
+
+    True while tracing is enabled or a fault plan is installed: spans, the
+    invariance audit, the timeline and fault injection all observe single
+    messages.  Otherwise halo traffic is booked in one batch and SpMVs run
+    as one stacked kernel (:class:`repro.kernels.plan.StackedSpMVPlan`).
+    """
+    return get_tracer().enabled or get_injector() is not None
 
 
 class PendingHaloUpdate:
@@ -69,7 +80,10 @@ class HaloSchedule:
         ``ext_cols[p]`` (where received values land in the halo buffer).
     """
 
-    __slots__ = ("partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src")
+    __slots__ = (
+        "partition", "ext_cols", "recv_from", "send_to", "recv_pos", "recv_src",
+        "_halo_src", "_traffic",
+    )
 
     def __init__(self, partition: RowPartition, ext_cols: list[np.ndarray]):
         if len(ext_cols) != partition.nparts:
@@ -104,6 +118,23 @@ class HaloSchedule:
             {q: partition.local_index[ids] for q, ids in by_owner.items()}
             for by_owner in self.recv_from
         ]
+        self._halo_src: list[np.ndarray] | None = None
+        self._traffic = None
+
+    def freeze(self) -> None:
+        """Mark every index array read-only.
+
+        Cached kernel plans and traffic totals are derived from these
+        arrays; :class:`~repro.dist.DistMatrix` freezes its schedule so an
+        in-place write raises instead of silently invalidating them.
+        """
+        for cols in self.ext_cols:
+            cols.setflags(write=False)
+        # send_to holds the same arrays as recv_from
+        for table in (self.recv_from, self.recv_pos, self.recv_src):
+            for by_rank in table:
+                for ids in by_rank.values():
+                    ids.setflags(write=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -174,42 +205,69 @@ class HaloSchedule:
         exchanged message is recorded in ``tracker`` (8 bytes per value).
 
         ``out`` supplies preallocated receive buffers (one per rank, each of
-        length ``halo_size(p)``) — e.g. tail views of a
-        :class:`~repro.kernels.workspace.SolverWorkspace` SpMV input vector —
-        making the update allocation-free.  Received values cover every halo
-        position, so the buffers need no zeroing.  Without ``out``, fresh
-        buffers are allocated and counted in the ``kernels.allocs`` metric.
+        length ``halo_size(p)``) — e.g. the halo-tail views of a
+        :class:`~repro.kernels.workspace.SolverWorkspace` input buffer.
+        Received values cover every halo position, so the buffers need no
+        zeroing.  Without ``out``, fresh buffers are allocated and counted
+        in the ``kernels.allocs`` metric.
 
-        With tracing enabled, the update emits a ``halo.update`` span with
-        one ``halo.exchange`` child per receiving rank (tagged ``rank`` and
+        With tracing or fault injection on, the update runs message by
+        message (:meth:`_update_traced`): a ``halo.update`` span with one
+        ``halo.exchange`` child per receiving rank (tagged ``rank`` and
         ``bytes``, matching the tracker's accounting exactly) wrapping
-        ``halo.pack`` / ``halo.unpack`` children per message.
+        ``halo.pack`` / ``halo.unpack`` children per message.  Otherwise
+        each rank's halo is one gather from the rank-ordered vector and the
+        traffic is booked in one batch (:meth:`account`).
 
-        With metrics enabled, every message also increments per-sender-rank
-        ``halo.bytes_sent`` / ``halo.msgs`` counters — identically on the
-        legacy (allocating) and ``out=`` paths, so the invariance auditor
-        sees the same accounting regardless of which kernel path ran.
+        With metrics enabled, every message also counts in per-sender-rank
+        ``halo.bytes_sent`` / ``halo.msgs`` counters — identical totals on
+        both paths, so the invariance auditor sees the same accounting
+        regardless of which path ran.
         """
-        tracer = get_tracer()
-        injector = get_injector()
-        if tracer.enabled or injector is not None:
-            return self._update_traced(x_parts, tracker, tracer, out, injector)
-        part = self.partition
-        metrics = get_metrics()
-        record = metrics.enabled
+        if per_message_executor():
+            return self._update_traced(x_parts, tracker, get_tracer(), out, get_injector())
         halos = self._recv_buffers(out)
-        for p in range(part.nparts):
-            for q, ids in self.recv_from[p].items():
-                if ids.size == 0:
-                    continue
-                values = x_parts[q][self.recv_src[p][q]]
-                halos[p][self.recv_pos[p][q]] = values
-                if tracker is not None:
-                    tracker.record_p2p(q, p, 8 * ids.size)
-                if record:
-                    metrics.counter("halo.bytes_sent", rank=q).inc(8 * int(ids.size))
-                    metrics.counter("halo.msgs", rank=q).inc()
+        if self.partition.nparts:
+            flat = np.concatenate(x_parts, dtype=np.float64)
+            if self._halo_src is None:
+                # where each rank's halo values sit in the rank-ordered vector
+                self._halo_src = [self.partition.flat_index[c] for c in self.ext_cols]
+            for buf, src in zip(halos, self._halo_src):
+                np.take(flat, src, out=buf)
+        self.account(tracker)
         return halos
+
+    def account(self, tracker: CommTracker | None = None) -> None:
+        """Book one halo update's traffic without moving any value.
+
+        The per-edge byte totals and per-sender sums are computed once per
+        schedule; each call books them in one batch — one tracker lock
+        acquisition, one ``halo.bytes_sent`` / ``halo.msgs`` increment per
+        sender — with the same totals the per-message path records.
+        """
+        traffic = self._traffic
+        if traffic is None:
+            edges: dict[tuple[int, int], int] = {}
+            senders: dict[int, list[int]] = {}
+            for p, by_owner in enumerate(self.recv_from):
+                for q, ids in by_owner.items():
+                    if ids.size:
+                        nbytes = 8 * int(ids.size)
+                        edges[(int(q), p)] = nbytes
+                        sent = senders.setdefault(int(q), [0, 0])
+                        sent[0] += nbytes
+                        sent[1] += 1
+            traffic = self._traffic = (
+                edges, tuple((q, b, m) for q, (b, m) in senders.items())
+            )
+        edges, senders = traffic
+        if tracker is not None and edges:
+            tracker.record_p2p_batch(edges)
+        metrics = get_metrics()
+        if metrics.enabled:
+            for q, nbytes, nmsgs in senders:
+                metrics.counter("halo.bytes_sent", rank=q).inc(nbytes)
+                metrics.counter("halo.msgs", rank=q).inc(nmsgs)
 
     def update_start(
         self,

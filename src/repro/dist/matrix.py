@@ -107,7 +107,13 @@ class DistMatrix:
         self.locals = locals_
         self.schedule = schedule
         self.shape = (int(shape[0]), int(shape[1]))
-        self._plans: dict[str, list] = {}
+        self._plans: dict[str, object] = {}
+        # cached plans, splits and traffic totals are derived from these
+        # arrays: make the "do not mutate" rule an error instead of a hazard
+        for lm in locals_:
+            for arr in (lm.csr.indptr, lm.csr.indices, lm.csr.data):
+                arr.setflags(write=False)
+        schedule.freeze()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -171,25 +177,52 @@ class DistMatrix:
         """Stored entries per rank."""
         return np.array([lm.nnz for lm in self.locals], dtype=np.int64)
 
-    def plans(self, backend=None) -> list:
-        """Per-rank :class:`~repro.kernels.plan.SpMVPlan` set, built lazily.
+    def stacked_plan(self, backend=None, *, halo_tail: bool = False):
+        """The :class:`~repro.kernels.plan.StackedSpMVPlan` of this operator.
 
-        Cached on the matrix per backend (plans snapshot the structure, so
-        the matrix must not be mutated after the first call).  Cache hits
-        and misses accumulate in the ``kernels.plan_cache.*`` metrics.
+        One kernel over the rank-ordered flat vector
+        (:attr:`DistVector.data`): each rank's local columns
+        ``[x_local | x_halo]`` are remapped to their positions in that
+        vector, so the halo gather is part of the SpMV gather.  Each rank
+        keeps the kernel a plan of its block alone picks, so the product is
+        bitwise equal to the per-rank products.
+
+        ``halo_tail=True`` builds the per-message executor's variant: halo
+        columns read from a tail appended after the rank-ordered vector
+        (rank 0's halo in ``ext_cols`` order, then rank 1's, ...), where
+        :meth:`HaloSchedule.update` delivers them message by message.
+
+        Cached on the matrix per backend and variant (the matrix must not
+        be mutated — construction makes its blocks read-only); hits and
+        misses accumulate in the ``kernels.plan_cache.*`` metrics.  Scratch
+        is thread-local, so threads sharing the matrix may apply a plan
+        concurrently.
         """
         from repro.backend import get_backend
-        from repro.kernels.plan import SpMVPlan
+        from repro.kernels.plan import StackedSpMVPlan
 
         bk = get_backend(backend)
-        plans = self._plans.get(bk.name)
-        if plans is None:
+        key = f"__stacked__.{bk.name}.{'tail' if halo_tail else 'flat'}"
+        plan = self._plans.get(key)
+        if plan is None:
             get_metrics().counter("kernels.plan_cache.misses").inc()
-            plans = [SpMVPlan(lm.csr, backend=bk) for lm in self.locals]
-            self._plans[bk.name] = plans
+            part = self.partition
+            tail = np.cumsum([part.nrows] + [lm.n_halo for lm in self.locals])
+            col_maps = [
+                np.concatenate([
+                    np.arange(part.offsets[p], part.offsets[p + 1], dtype=np.int64),
+                    np.arange(tail[p], tail[p + 1], dtype=np.int64) if halo_tail
+                    else part.flat_index[lm.ext_cols],
+                ])
+                for p, lm in enumerate(self.locals)
+            ]
+            ncols = int(tail[-1]) if halo_tail else part.nrows
+            plan = StackedSpMVPlan([lm.csr for lm in self.locals], col_maps, ncols,
+                                   backend=bk)
+            self._plans[key] = plan
         else:
             get_metrics().counter("kernels.plan_cache.hits").inc()
-        return plans
+        return plan
 
     def split_blocks(self) -> list[tuple[CSRMatrix, CSRMatrix | None]]:
         """Per-rank ``(A_ll, A_lh)`` column split of the local blocks.

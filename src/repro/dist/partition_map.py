@@ -27,9 +27,15 @@ class RowPartition:
         position of ``g`` in this array is its local index on ``p``.
     local_index:
         ``local_index[g]`` — local index of ``g`` on its owner.
+    offsets:
+        ``offsets[p]`` — where rank ``p``'s rows start in the *rank-ordered*
+        layout (rank 0's rows, then rank 1's, ...; length ``nparts + 1``),
+        the layout of :attr:`repro.dist.DistVector.data`.
+    flat_index:
+        ``flat_index[g]`` — position of global row ``g`` in that layout.
     """
 
-    __slots__ = ("owner", "nparts", "global_ids", "local_index")
+    __slots__ = ("owner", "nparts", "global_ids", "local_index", "offsets", "flat_index")
 
     def __init__(self, owner, nparts: int | None = None):
         self.owner = np.asarray(owner, dtype=np.int64)
@@ -49,6 +55,9 @@ class RowPartition:
         self.local_index = np.empty(self.owner.size, dtype=np.int64)
         for ids in self.global_ids:
             self.local_index[ids] = np.arange(ids.size, dtype=np.int64)
+        self.offsets = np.zeros(self.nparts + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.flat_index = self.offsets[self.owner] + self.local_index
 
     # ------------------------------------------------------------------
     @classmethod

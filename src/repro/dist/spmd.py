@@ -227,18 +227,21 @@ def spmd_cg(
         x = np.zeros(lm.n_local, dtype=np.float64)
         r = b.parts[p].copy()
         norm0 = np.sqrt(gdot(r, r))
-        if norm0 == 0.0:
-            return x, 0
+        if norm0 == 0.0 or not np.isfinite(norm0):
+            return x, 0  # zero or non-finite RHS: stop at 0, as pcg does
         z = apply_precond(r)
         d = z.copy()
         rz = gdot(r, z)
         iterations = 0
         for _ in range(max_iterations):
-            if np.sqrt(gdot(r, r)) <= rtol * norm0:
+            if np.sqrt(gdot(r, r)) <= rtol * norm0 or rz == 0:
                 break
             with tracer.span("spmd.iteration", rank=p, index=iterations):
                 ad = local_spmv(mat, d)
-                alpha = rz / gdot(d, ad)
+                dad = gdot(d, ad)
+                if dad <= 0 or not np.isfinite(dad):
+                    break  # not SPD or breakdown (every rank sees the same dad)
+                alpha = rz / dad
                 with tracer.span("spmd.compute", rank=p, kernel="axpy"):
                     x += alpha * d
                     r -= alpha * ad
@@ -353,8 +356,8 @@ def spmd_pipelined_pcg(
         r = b.parts[p].copy()
         (norm0_sq,) = fused_dots((r, r))
         norm0 = float(np.sqrt(max(norm0_sq, 0.0)))
-        if norm0 == 0.0:
-            return x, 0
+        if norm0 == 0.0 or not np.isfinite(norm0):
+            return x, 0  # zero or non-finite RHS: stop at 0, as pcg does
         target = rtol * norm0
         u = apply_precond(r)
         w = local_spmv(mat, a_blocks, u)

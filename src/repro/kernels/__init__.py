@@ -8,6 +8,10 @@ provides:
 * :class:`~repro.kernels.plan.SpMVPlan` — per-matrix SpMV metadata
   (reduceat row starts, transpose gather plans, scratch buffers) computed
   once, with allocation-free ``spmv(x, out=)`` / ``spmv_t(x, out=)``;
+* :class:`~repro.kernels.plan.StackedSpMVPlan` — a whole row-distributed
+  operator as one SpMV over the rank-ordered flat vector (halo gather
+  folded into the SpMV gather, each rank's kernel choice kept), the
+  untraced executor of distributed products;
 * :class:`~repro.kernels.workspace.SolverWorkspace` — every Krylov solve
   temporary preallocated and reused, threaded through
   :func:`repro.core.cg.pcg`, :func:`repro.core.solvers.bicgstab` and
@@ -20,11 +24,12 @@ provides:
 See ``docs/PERFORMANCE.md`` for the full API walkthrough and invariants.
 """
 
-from repro.kernels.plan import SpMVPlan
+from repro.kernels.plan import SpMVPlan, StackedSpMVPlan
 from repro.kernels.workspace import SolverWorkspace
 
 __all__ = [
     "SpMVPlan",
+    "StackedSpMVPlan",
     "SolverWorkspace",
     "run_suite",
     "write_suite",

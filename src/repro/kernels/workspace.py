@@ -1,10 +1,14 @@
 """Preallocated solver workspaces — zero-allocation distributed hot loops.
 
 A :class:`SolverWorkspace` owns every temporary a Krylov solve needs — the
-residual/direction/preconditioned vectors, the per-rank SpMV input vectors
-``[x_local | x_halo]`` (whose tail doubles as the halo receive buffer, so the
-halo update writes straight into the SpMV operand with no copy), and the
-:class:`~repro.kernels.plan.SpMVPlan` set of every operator it applies.
+residual/direction/preconditioned vectors and the kernel plans of every
+operator it applies.  Untraced products run as one
+:class:`~repro.kernels.plan.StackedSpMVPlan` kernel per operator over the
+vectors' contiguous buffers.  The per-message path (tracing or fault
+injection on) delivers halo values message by message into a halo tail
+appended to a copy of the operand, and a tail-layout stacked plan reads
+them from there — the same per-rank kernels, so the products are bitwise
+equal.
 
 The contract: after warm-up (the first acquisition of each named buffer),
 repeated solves through the same workspace perform **zero hot-loop array
@@ -23,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
+from repro.dist.halo import per_message_executor
 from repro.dist.matrix import DistMatrix
 from repro.dist.vector import DistVector
 from repro.errors import ShapeError
@@ -32,23 +37,35 @@ __all__ = ["SolverWorkspace"]
 
 
 class _OperatorState:
-    """Per-operator plan set and SpMV input buffers (one per rank)."""
+    """Per-operator kernel plans and the per-message executor's input buffer.
 
-    __slots__ = ("dmat", "plans", "xin", "halo_views")
+    ``ext`` is ``[x | halo tail]`` — the rank-ordered vector followed by
+    every rank's halo (``halo_views[p]`` is rank ``p``'s slice, the halo
+    update's receive buffer); it and the tail-layout plan are built on the
+    per-message path's first use.
+    """
+
+    __slots__ = ("dmat", "backend", "stacked", "traced", "ext", "halo_views")
 
     def __init__(self, dmat: DistMatrix, backend: ArrayBackend):
         self.dmat = dmat
-        self.plans = dmat.plans(backend)
-        self.xin: list[np.ndarray] = []
+        self.backend = backend
+        self.stacked = dmat.stacked_plan(backend)
+        self.traced = None
+        self.ext = None
         self.halo_views: list[np.ndarray] = []
-        for lm in dmat.locals:
-            buf = backend.xp.empty(lm.n_local + lm.n_halo, dtype=np.float64)
-            self.xin.append(buf)
-            self.halo_views.append(buf[lm.n_local:])
 
-    @property
-    def narrays(self) -> int:
-        return len(self.xin)
+    def per_message_buffers(self) -> int:
+        """Build the tail-layout plan and ``ext`` buffer; returns arrays allocated."""
+        if self.traced is not None:
+            return 0
+        self.traced = self.dmat.stacked_plan(self.backend, halo_tail=True)
+        self.ext = self.backend.xp.empty(self.traced.ncols, dtype=np.float64)
+        start = self.dmat.partition.nrows
+        for lm in self.dmat.locals:
+            self.halo_views.append(self.ext[start:start + lm.n_halo])
+            start += lm.n_halo
+        return 1
 
 
 class SolverWorkspace:
@@ -92,7 +109,6 @@ class SolverWorkspace:
     def _register(self, dmat: DistMatrix) -> _OperatorState:
         state = _OperatorState(dmat, self.backend)
         self._ops[id(dmat)] = state
-        self._count_allocs(state.narrays)
         return state
 
     def operator(self, dmat: DistMatrix) -> _OperatorState:
@@ -119,7 +135,7 @@ class SolverWorkspace:
         if vec is None:
             vec = DistVector.zeros(self.partition)
             self._vectors[name] = vec
-            self._count_allocs(len(vec.parts))
+            self._count_allocs(1)
         return vec
 
     # ------------------------------------------------------------------
@@ -132,9 +148,15 @@ class SolverWorkspace:
     ) -> DistVector:
         """Distributed ``out = dmat · x`` through cached plans and buffers.
 
-        The halo update writes directly into the tail of each rank's
-        preallocated ``[x_local | x_halo]`` input vector; the local products
-        run through :class:`SpMVPlan` with ``out=`` — zero allocations once
+        With tracing and fault injection off, the product is one
+        :class:`~repro.kernels.plan.StackedSpMVPlan` kernel from
+        ``x.data`` into ``out.data`` (the halo gather is part of the SpMV
+        gather) and the halo traffic is booked in one batch.  Otherwise
+        (:func:`~repro.dist.halo.per_message_executor`) the halo update
+        runs message by message into a halo tail appended to a copy of
+        ``x.data`` — so injected faults reach the product — and the
+        tail-layout plan reads from there.  Both paths give bitwise-equal
+        products and equal traffic accounting, with zero allocations once
         the operator is warm.
         """
         if x.partition != dmat.partition:
@@ -144,16 +166,22 @@ class SolverWorkspace:
             out = self.vector(f"spmv.out.{id(dmat)}")
         self._check_parts(x, "x")
         self._check_parts(out, "out")
+        if not per_message_executor():
+            state.stacked.spmv(x.data, out=out.data)
+            dmat.schedule.account(tracker)
+            return out
+        self._count_allocs(state.per_message_buffers())
+        state.ext[: x.data.size] = x.data
         dmat.schedule.update(x.parts, tracker, out=state.halo_views)
-        for p, lm in enumerate(dmat.locals):
-            xin = state.xin[p]
-            xin[: lm.n_local] = x.parts[p]
-            state.plans[p].spmv(xin, out=out.parts[p])
+        state.traced.spmv(state.ext, out=out.data)
         return out
 
     def _check_parts(self, vec: DistVector, label: str) -> None:
-        """Reject operand vectors that would silently cast into the buffers."""
+        """Reject operand vectors that would silently cast into the buffers,
+        or whose parts no longer view the vector's buffer."""
         backend = self.backend
+        if vec.views_intact() and backend.is_native(vec.data):
+            return  # parts are views of data, which DistVector keeps float64
         for p, part in enumerate(vec.parts):
             if not backend.is_native(part):
                 raise ValueError(
@@ -167,6 +195,10 @@ class SolverWorkspace:
                     "buffers are float64 and refuse to cast silently — "
                     "convert the operand explicitly"
                 )
+        raise ValueError(
+            f"a part of {label} was replaced and no longer views {label}.data; "
+            "write into parts[p][...] instead"
+        )
 
     def __repr__(self) -> str:
         return (

@@ -74,6 +74,16 @@ class CommTracker:
             self.p2p_messages[key] = self.p2p_messages.get(key, 0) + 1
             self.p2p_bytes[key] = self.p2p_bytes.get(key, 0) + int(nbytes)
 
+    def record_p2p_batch(self, edge_bytes: dict[tuple[int, int], int]) -> None:
+        """Count one message per edge of ``edge_bytes`` (``(src, dst) →
+        nbytes``, int keys and sizes) under a single lock acquisition — a
+        whole halo update's :meth:`record_p2p` calls in one batch."""
+        messages, p2p_bytes = self.p2p_messages, self.p2p_bytes
+        with self._lock:
+            for key, nbytes in edge_bytes.items():
+                messages[key] = messages.get(key, 0) + 1
+                p2p_bytes[key] = p2p_bytes.get(key, 0) + nbytes
+
     def record_telemetry(self, src: int, dst: int, nbytes: int) -> None:
         """Count one in-band telemetry message of ``nbytes`` — kept out of
         the solver's point-to-point accounting by design."""

@@ -63,6 +63,20 @@ class TestPlainCG:
         assert hist.size == result.iterations + 1
         assert hist[-1] < hist[0] * 1e-7
 
+    def test_rtol_zero_stops_when_rz_vanishes(self):
+        # regression: rtol=0 iterated until rᵀz underflowed to 0, then
+        # crashed with ZeroDivisionError at beta = rz_new / rz
+        mat = poisson2d(8)
+        part = RowPartition.contiguous(mat.nrows, 3)
+        da = DistMatrix.from_global(mat, part)
+        b = DistVector.from_global(np.ones(mat.nrows), part)
+        pre = build_fsai(mat, part)
+        result = pcg(da, b, precond=pre, rtol=0.0, max_iterations=5_000)
+        assert result.iterations < 5_000
+        assert result.converged == (result.final_residual <= 0.0)
+        bg = b.to_global()
+        assert residual(mat, result.x.to_global(), bg) <= 1e-12 * np.linalg.norm(bg)
+
     def test_breakdown_on_indefinite(self):
         dense = np.array([[1.0, 4.0], [4.0, 1.0]])
         mat = CSRMatrix.from_dense(dense)

@@ -53,6 +53,14 @@ class TestCommands:
         assert "converged=True" in out
         assert "modeled time" in out
 
+    def test_solve_rtol_zero_does_not_crash(self, capsys):
+        code = main(["solve", "--generate", "poisson2d:8", "--ranks", "3", "--rtol", "0"])
+        out = capsys.readouterr().out
+        # rtol=0 cannot be met in floating point: an unconverged run, exit 1
+        assert code == 1
+        assert "converged=False" in out
+        assert "relative residual" in out
+
     def test_solve_each_method(self, capsys):
         for method in ("fsai", "fsaie", "comm"):
             code = main(

@@ -13,6 +13,7 @@ from repro.dist import (
     spmd_cg,
     spmd_dot,
     spmd_halo_update,
+    spmd_pipelined_pcg,
     spmd_spmv,
 )
 from repro.errors import PartitionError, ShapeError
@@ -255,6 +256,19 @@ class TestSPMD:
         bg = b.to_global()
         assert np.linalg.norm(mat.spmv(x) - bg) <= 1.1e-8 * np.linalg.norm(bg)
         assert iters > 0
+
+
+    @pytest.mark.parametrize("solver", [spmd_cg, spmd_pipelined_pcg])
+    def test_non_finite_rhs_stops_at_zero_like_pcg(self, solver, dist_poisson16):
+        from repro.core import build_fsai, pcg
+
+        mat, part, da, _ = dist_poisson16
+        pre = build_fsai(mat, part)
+        b = DistVector.from_global(np.full(mat.nrows, np.nan), part)
+        reference = pcg(da, b, precond=pre, max_iterations=30)
+        _, iters = solver(da, b, precond_pair=(pre.g, pre.gt),
+                          max_iterations=30, engine="events")
+        assert iters == reference.iterations == 0
 
 
 class TestRedistribution:
