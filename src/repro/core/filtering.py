@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.instrument import get_metrics
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.pattern import SparsityPattern
+from repro.sparse.csr import CSRMatrix, entry_rows
+from repro.sparse.pattern import SparsityPattern, entry_keys
 
 __all__ = [
     "FilterSpec",
@@ -79,7 +79,7 @@ def entry_ratios(g: CSRMatrix) -> np.ndarray:
         raise ShapeError("entry_ratios expects a square factor")
     diag = np.abs(g.diagonal())
     diag[diag == 0.0] = 1.0
-    rows = np.repeat(np.arange(g.nrows, dtype=np.int64), g.row_nnz())
+    rows = entry_rows(g.indptr)
     scale = np.sqrt(diag[rows] * diag[g.indices])
     return np.abs(g.data) / scale
 
@@ -89,16 +89,7 @@ def extension_entry_mask(g: CSRMatrix, base: SparsityPattern) -> np.ndarray:
     (absent from the base pattern) and therefore filterable."""
     if g.shape != base.shape:
         raise ShapeError("factor and base pattern shapes differ")
-    mask = np.empty(g.nnz, dtype=bool)
-    for i in range(g.nrows):
-        lo, hi = g.indptr[i], g.indptr[i + 1]
-        base_row = base.row(i)
-        cols = g.indices[lo:hi]
-        pos = np.searchsorted(base_row, cols)
-        pos = np.minimum(pos, max(base_row.size - 1, 0))
-        in_base = base_row[pos] == cols if base_row.size else np.zeros(cols.size, bool)
-        mask[lo:hi] = ~in_base
-    return mask
+    return ~np.isin(entry_keys(g), entry_keys(base), assume_unique=True)
 
 
 def _count_kept(base_count: int, ext_ratios: np.ndarray, filt: float) -> int:

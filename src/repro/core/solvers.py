@@ -306,7 +306,9 @@ def pipelined_pcg(
         else None
     )
     for _ in range(max_iterations):
-        if history[-1] <= target or delta == 0 or not np.isfinite(alpha):
+        # as in pcg: stop once rᵀu (gamma) vanishes, since every later step
+        # has alpha = 0; ‖r‖ = 0 already meets any target, rtol=0 included
+        if history[-1] <= target or gamma == 0 or delta == 0 or not np.isfinite(alpha):
             break
         with tracer.span("pipelined_pcg.iteration", index=iterations):
             with tracer.span("pcg.axpy"):

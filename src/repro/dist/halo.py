@@ -20,6 +20,7 @@ from repro.errors import CommError, PartitionError, RankFailedError
 from repro.instrument import get_metrics, get_tracer
 from repro.mpisim.injection import get_injector
 from repro.mpisim.tracker import CommTracker
+from repro.sparse.csr import entry_rows
 
 __all__ = ["HaloSchedule", "PendingHaloUpdate", "per_message_executor"]
 
@@ -141,26 +142,18 @@ class HaloSchedule:
     def from_row_structure(
         cls, partition: RowPartition, indptr: np.ndarray, indices: np.ndarray
     ) -> "HaloSchedule":
-        """Build from the global CSR structure of a matrix distributed by rows."""
-        nparts = partition.nparts
-        ext: list[np.ndarray] = []
+        """Build from the global CSR structure of a matrix distributed by rows.
+
+        A rank's halo is every column its rows touch that another rank owns:
+        one sorted unique pass over ``rank * nrows + column`` keys.
+        """
         owner = partition.owner
-        for p in range(nparts):
-            rows = partition.global_ids[p]
-            if rows.size:
-                starts = indptr[rows]
-                ends = indptr[rows + 1]
-                total = int((ends - starts).sum())
-                cols = np.empty(total, dtype=np.int64)
-                off = 0
-                for s, e in zip(starts, ends):
-                    cols[off : off + (e - s)] = indices[s:e]
-                    off += e - s
-                cols = np.unique(cols)
-                ext.append(cols[owner[cols] != p])
-            else:
-                ext.append(np.empty(0, dtype=np.int64))
-        return cls(partition, ext)
+        rank = owner[entry_rows(indptr)]
+        halo = owner[indices] != rank
+        keys = np.unique(rank[halo] * partition.nrows + indices[halo])
+        ranks, cols = np.divmod(keys, max(partition.nrows, 1))
+        bounds = np.searchsorted(ranks, np.arange(1, partition.nparts))
+        return cls(partition, np.split(cols, bounds))
 
     @classmethod
     def from_pattern(cls, pattern, partition: RowPartition) -> "HaloSchedule":

@@ -19,7 +19,7 @@ from repro.dist.vector import DistVector
 from repro.errors import ShapeError
 from repro.instrument import get_metrics
 from repro.mpisim.tracker import CommTracker
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, entry_rows, row_entries
 
 __all__ = ["LocalMatrix", "DistMatrix"]
 
@@ -129,23 +129,19 @@ class DistMatrix:
             rows = partition.global_ids[p]
             ext = schedule.ext_cols[p]
             n_local = rows.size
-            # global -> local column map for this rank
-            col_map = np.full(mat.ncols, -1, dtype=np.int64)
-            col_map[rows] = np.arange(n_local, dtype=np.int64)
-            col_map[ext] = n_local + np.arange(ext.size, dtype=np.int64)
-            counts = (mat.indptr[rows + 1] - mat.indptr[rows]).astype(np.int64)
-            indptr = np.zeros(n_local + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            data = np.empty(int(indptr[-1]), dtype=np.float64)
-            for li, g in enumerate(rows):
-                lo, hi = mat.indptr[g], mat.indptr[g + 1]
-                seg = slice(indptr[li], indptr[li + 1])
-                local_cols = col_map[mat.indices[lo:hi]]
-                order = np.argsort(local_cols, kind="stable")
-                indices[seg] = local_cols[order]
-                data[seg] = mat.data[lo:hi][order]
-            csr = CSRMatrix((n_local, n_local + ext.size), indptr, indices, data, check=False)
+            pos, indptr = row_entries(mat.indptr, rows)
+            # global -> local column: owned columns by their local index,
+            # halo columns by their position in ext_cols after the owned ones
+            cols = mat.indices[pos]
+            local_cols = np.where(
+                partition.owner[cols] == p,
+                partition.local_index[cols],
+                n_local + np.searchsorted(ext, cols),
+            )
+            # within each row, a stable sort by local column
+            order = np.lexsort((local_cols, entry_rows(indptr)))
+            csr = CSRMatrix((n_local, n_local + ext.size), indptr,
+                            local_cols[order], mat.data[pos[order]], check=False)
             locals_.append(LocalMatrix(p, csr, rows, ext))
         return cls(partition, locals_, schedule, mat.shape)
 

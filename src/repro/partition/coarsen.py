@@ -10,8 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.graph import Graph
+from repro.sparse.csr import entry_rows
 
 __all__ = ["heavy_edge_matching", "contract", "coarsen_once"]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def heavy_edge_matching(graph: Graph, rng: np.random.Generator) -> np.ndarray:
@@ -19,54 +22,49 @@ def heavy_edge_matching(graph: Graph, rng: np.random.Generator) -> np.ndarray:
 
     Vertices are visited in random order; each unmatched vertex matches its
     unmatched neighbour connected by the heaviest edge (ties broken by lower
-    vertex weight to keep coarse weights even).
+    vertex weight to keep coarse weights even, then by adjacency order).
     """
     n = graph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for v in order:
+    match = [-1] * n
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    adjwgt, vwgt = graph.adjwgt.tolist(), graph.vwgt.tolist()
+    for v in rng.permutation(n).tolist():
         if match[v] != -1:
             continue
-        nbrs = graph.neighbours(v)
-        wgts = graph.edge_weights(v)
-        best, best_w, best_vw = -1, -1, np.iinfo(np.int64).max
-        for u, w in zip(nbrs, wgts):
+        best, best_w, best_vw = -1, -1, _INT64_MAX
+        for k in range(xadj[v], xadj[v + 1]):
+            u = adjncy[k]
             if match[u] != -1 or u == v:
                 continue
-            uvw = graph.vwgt[u]
+            w, uvw = adjwgt[k], vwgt[u]
             if w > best_w or (w == best_w and uvw < best_vw):
-                best, best_w, best_vw = int(u), int(w), int(uvw)
+                best, best_w, best_vw = u, w, uvw
         if best == -1:
             match[v] = v
         else:
             match[v] = best
             match[best] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def contract(graph: Graph, match: np.ndarray) -> tuple[Graph, np.ndarray]:
     """Collapse matched pairs; returns ``(coarse_graph, cmap)``.
 
-    ``cmap[v]`` is the coarse vertex holding fine vertex ``v``.
+    ``cmap[v]`` is the coarse vertex holding fine vertex ``v``: coarse ids
+    number the pairs in order of their lower vertex, ``min(v, match[v])``.
     """
     n = graph.num_vertices
-    cmap = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if cmap[v] != -1:
-            continue
-        u = match[v]
-        cmap[v] = next_id
-        if u != v:
-            cmap[u] = next_id
-        next_id += 1
-    nc = next_id
+    idx = np.arange(n, dtype=np.int64)
+    lead = np.minimum(idx, np.asarray(match, dtype=np.int64))
+    ids = np.cumsum(lead == idx, dtype=np.int64) - 1
+    cmap = ids[lead]
+    nc = int(ids[-1]) + 1 if n else 0
 
     cvwgt = np.zeros(nc, dtype=np.int64)
     np.add.at(cvwgt, cmap, graph.vwgt)
 
     # accumulate coarse edges: (cmap[v], cmap[u], w) dropping self loops
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    rows = entry_rows(graph.xadj)
     cr = cmap[rows]
     cc = cmap[graph.adjncy]
     keep = cr != cc

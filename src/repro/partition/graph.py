@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, entry_rows
 from repro.sparse.pattern import SparsityPattern
 
 __all__ = ["Graph", "graph_from_pattern", "graph_from_matrix"]
@@ -60,7 +60,7 @@ class Graph:
         if self.adjncy.size:
             if self.adjncy.min() < 0 or self.adjncy.max() >= n:
                 raise PartitionError("neighbour index out of range")
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.xadj))
+            rows = entry_rows(self.xadj)
             if np.any(rows == self.adjncy):
                 raise PartitionError("self loops are not allowed")
 
@@ -93,9 +93,7 @@ class Graph:
     def edge_cut(self, part: np.ndarray) -> int:
         """Total weight of edges crossing the partition ``part`` (vertex→part)."""
         part = np.asarray(part)
-        rows = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.xadj)
-        )
+        rows = entry_rows(self.xadj)
         crossing = part[rows] != part[self.adjncy]
         return int(self.adjwgt[crossing].sum()) // 2
 
@@ -117,7 +115,7 @@ def graph_from_pattern(
     if pat.nrows != pat.ncols:
         raise PartitionError("adjacency graph needs a square pattern")
     sym = pat.symmetrized()
-    rows = np.repeat(np.arange(sym.nrows, dtype=np.int64), sym.row_nnz())
+    rows = entry_rows(sym.indptr)
     off = rows != sym.indices
     keep = np.flatnonzero(off)
     xadj = np.zeros(sym.nrows + 1, dtype=np.int64)

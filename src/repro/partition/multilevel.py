@@ -14,11 +14,11 @@ from collections import deque
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.instrument import get_tracer
 from repro.partition.coarsen import coarsen_once
 from repro.partition.graph import Graph
 from repro.partition.refine import fm_refine
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.pattern import SparsityPattern
+from repro.sparse.csr import CSRMatrix, entry_rows
 
 __all__ = ["bisect", "partition_graph", "partition_matrix"]
 
@@ -33,34 +33,36 @@ def _greedy_grow_bisection(
     Runs several trials and keeps the smallest edge cut.
     """
     n = graph.num_vertices
+    xadj, adjncy, vwgt = graph.xadj.tolist(), graph.adjncy.tolist(), graph.vwgt.tolist()
     best_part: np.ndarray | None = None
     best_cut = None
     for _ in range(max(1, trials)):
-        part = np.ones(n, dtype=np.int64)
+        part = [1] * n
         seed = int(rng.integers(n))
         grown = 0
         queue: deque[int] = deque([seed])
-        visited = np.zeros(n, dtype=bool)
+        visited = [False] * n
         visited[seed] = True
         while queue and grown < target0:
             v = queue.popleft()
             part[v] = 0
-            grown += int(graph.vwgt[v])
-            for u in graph.neighbours(v):
+            grown += vwgt[v]
+            for u in adjncy[xadj[v] : xadj[v + 1]]:
                 if not visited[u]:
                     visited[u] = True
-                    queue.append(int(u))
-        # disconnected graph: keep growing from unvisited seeds
-        while grown < target0:
-            rest = np.flatnonzero(part == 1)
-            if rest.size == 0:
-                break
-            nxt = int(rest[rng.integers(rest.size)])
-            part[nxt] = 0
-            grown += int(graph.vwgt[nxt])
-        cut = graph.edge_cut(part)
+                    queue.append(u)
+        # disconnected graph: keep growing from unvisited seeds, drawn from
+        # the ascending list of region-1 vertices
+        if grown < target0:
+            rest = [v for v in range(n) if part[v] == 1]
+            while grown < target0 and rest:
+                nxt = rest.pop(int(rng.integers(len(rest))))
+                part[nxt] = 0
+                grown += vwgt[nxt]
+        labels = np.array(part, dtype=np.int64)
+        cut = graph.edge_cut(labels)
         if best_cut is None or cut < best_cut:
-            best_part, best_cut = part, cut
+            best_part, best_cut = labels, cut
     assert best_part is not None
     return best_part
 
@@ -81,27 +83,27 @@ def bisect(
         raise PartitionError(f"target weight {target0} out of range (total {total})")
 
     # V-cycle: coarsen to a small graph
+    tracer = get_tracer()
     levels: list[tuple[Graph, np.ndarray]] = []  # (fine graph, cmap fine->coarse)
     g = graph
-    while g.num_vertices > _COARSEST_SIZE:
-        step = coarsen_once(g, rng)
-        if step is None:
-            break
-        coarse, cmap = step
-        levels.append((g, cmap))
-        g = coarse
+    with tracer.span("partition.coarsen", vertices=graph.num_vertices):
+        while g.num_vertices > _COARSEST_SIZE:
+            step = coarsen_once(g, rng)
+            if step is None:
+                break
+            coarse, cmap = step
+            levels.append((g, cmap))
+            g = coarse
 
-    part = _greedy_grow_bisection(g, target0, rng)
-    part = fm_refine(
-        g, part, target=(target0, total - target0), max_imbalance=max_imbalance
-    )
+    with tracer.span("partition.initial_bisection", vertices=g.num_vertices):
+        part = _greedy_grow_bisection(g, target0, rng)
 
-    # uncoarsen with refinement at each level
-    for fine, cmap in reversed(levels):
-        part = part[cmap]
-        part = fm_refine(
-            fine, part, target=(target0, total - target0), max_imbalance=max_imbalance
-        )
+    # refine the coarsest bisection, then uncoarsen with refinement at each level
+    targets = (target0, total - target0)
+    with tracer.span("partition.refine", levels=len(levels) + 1):
+        part = fm_refine(g, part, target=targets, max_imbalance=max_imbalance)
+        for fine, cmap in reversed(levels):
+            part = fm_refine(fine, part[cmap], target=targets, max_imbalance=max_imbalance)
     return part
 
 
@@ -156,7 +158,7 @@ def _induced(graph: Graph, vertices: np.ndarray) -> Graph:
     n = graph.num_vertices
     remap = np.full(n, -1, dtype=np.int64)
     remap[vertices] = np.arange(vertices.size, dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    rows = entry_rows(graph.xadj)
     keep = (remap[rows] != -1) & (remap[graph.adjncy] != -1)
     kr = remap[rows[keep]]
     kc = remap[graph.adjncy[keep]]

@@ -13,6 +13,7 @@ import heapq
 import numpy as np
 
 from repro.partition.graph import Graph
+from repro.sparse.csr import entry_rows
 
 __all__ = ["fm_refine", "bisection_balance"]
 
@@ -29,10 +30,9 @@ def bisection_balance(graph: Graph, part: np.ndarray) -> float:
 
 def _gains(graph: Graph, part: np.ndarray) -> np.ndarray:
     """gain[v] = external degree − internal degree (cut reduction if moved)."""
-    n = graph.num_vertices
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    rows = entry_rows(graph.xadj)
     same = part[rows] == part[graph.adjncy]
-    gain = np.zeros(n, dtype=np.int64)
+    gain = np.zeros(graph.num_vertices, dtype=np.int64)
     np.add.at(gain, rows, np.where(same, -graph.adjwgt, graph.adjwgt))
     return gain
 
@@ -57,8 +57,13 @@ def fm_refine(
         ``max_imbalance × target``.
     max_passes:
         FM passes; each pass moves every vertex at most once.
+
+    Each step takes the unlocked vertex of maximum gain, lowest id first.
+    The pass runs on Python lists: the heap holds one int per entry,
+    ``-gain * n + v``, whose order is that of ``(-gain, v)``; an entry is
+    stale once its vertex is locked or its gain has changed.
     """
-    part = np.asarray(part, dtype=np.int64).copy()
+    labels = np.asarray(part, dtype=np.int64)
     total = graph.total_vertex_weight()
     if target is None:
         t0 = total // 2
@@ -67,55 +72,58 @@ def fm_refine(
         max(1.0, target[0] * max_imbalance),
         max(1.0, target[1] * max_imbalance),
     )
-    side_w = np.array(
-        [int(graph.vwgt[part == 0].sum()), int(graph.vwgt[part == 1].sum())],
-        dtype=np.int64,
-    )
+    n = graph.num_vertices
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    adjwgt, vwgt = graph.adjwgt.tolist(), graph.vwgt.tolist()
+    side_w = [int(graph.vwgt[labels == 0].sum()), int(graph.vwgt[labels == 1].sum())]
+    part = labels.tolist()
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     for _ in range(max_passes):
-        gain = _gains(graph, part)
-        locked = np.zeros(graph.num_vertices, dtype=bool)
-        heap: list[tuple[int, int]] = [(-g, v) for v, g in enumerate(gain)]
+        gain = _gains(graph, np.array(part, dtype=np.int64)).tolist()
+        locked = [False] * n
+        heap = [-g * n + v for v, g in enumerate(gain)]
         heapq.heapify(heap)
         moves: list[int] = []
         cum = 0
         best_cum, best_len = 0, 0
-        while heap:
-            neg_g, v = heapq.heappop(heap)
-            if locked[v] or -neg_g != gain[v]:
+        unlocked = n
+        while unlocked:
+            key = heappop(heap)
+            v = key % n
+            if locked[v] or -(key // n) != gain[v]:
                 continue  # stale heap entry
-            src = int(part[v])
-            dst = 1 - src
-            w = int(graph.vwgt[v])
-            if side_w[dst] + w > cap[dst]:
-                locked[v] = True  # cannot move this pass
-                continue
-            # apply move
             locked[v] = True
+            unlocked -= 1
+            src = part[v]
+            dst = 1 - src
+            w = vwgt[v]
+            if side_w[dst] + w > cap[dst]:
+                continue  # cannot move this pass
+            # apply move
             part[v] = dst
             side_w[src] -= w
             side_w[dst] += w
-            cum += int(gain[v])
+            cum += gain[v]
             moves.append(v)
             if cum > best_cum:
                 best_cum, best_len = cum, len(moves)
-            # update neighbour gains
-            lo, hi = graph.xadj[v], graph.xadj[v + 1]
-            for u, ew in zip(graph.adjncy[lo:hi], graph.adjwgt[lo:hi]):
+            # update neighbour gains: the u–v edge flips internal<->external
+            for k in range(xadj[v], xadj[v + 1]):
+                u = adjncy[k]
                 if locked[u]:
                     continue
-                # v left u's side: the u–v edge flips internal<->external
-                delta = -2 * int(ew) if part[u] == dst else 2 * int(ew)
-                gain[u] += delta
-                heapq.heappush(heap, (-int(gain[u]), int(u)))
+                g = gain[u] - 2 * adjwgt[k] if part[u] == dst else gain[u] + 2 * adjwgt[k]
+                gain[u] = g
+                heappush(heap, -g * n + u)
         # roll back moves past the best prefix
         for v in moves[best_len:]:
-            dst = int(part[v])
+            dst = part[v]
             src = 1 - dst
-            w = int(graph.vwgt[v])
+            w = vwgt[v]
             part[v] = src
             side_w[dst] -= w
             side_w[src] += w
         if best_cum <= 0:
             break
-    return part
+    return np.array(part, dtype=np.int64)

@@ -37,6 +37,28 @@ def _as_index_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every stored entry of a CSR structure."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of ``rows`` (concatenated in the given order) and the
+    indptr of that row selection."""
+    counts = indptr[rows + 1] - indptr[rows]
+    sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_indptr[1:])
+    shift = np.repeat(indptr[rows] - sub_indptr[:-1], counts)
+    return shift + np.arange(sub_indptr[-1], dtype=np.int64), sub_indptr
+
+
+def unsorted_rows(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Rows whose column indices are not strictly increasing (ascending ids,
+    one per offending adjacent pair)."""
+    rows = entry_rows(indptr)
+    return rows[1:][(np.diff(indices) <= 0) & (rows[1:] == rows[:-1])]
+
+
 def _check_out(out: np.ndarray, n: int) -> None:
     """Validate a user-supplied ``out=`` vector: float64 ndarray of length n."""
     if not isinstance(out, np.ndarray):
@@ -184,17 +206,8 @@ class CSRMatrix:
         if nnz:
             if self.indices.min() < 0 or self.indices.max() >= ncols:
                 raise SparseFormatError("column index out of range")
-            # sorted + unique per row: strict increase within rows
-            starts = self.indptr[:-1]
-            ends = self.indptr[1:]
-            diffs = np.diff(self.indices)
-            # positions where a row boundary sits between consecutive entries
-            boundary = np.zeros(max(nnz - 1, 0), dtype=bool)
-            inner = ends[:-1][(ends[:-1] > 0) & (ends[:-1] < nnz)]
-            boundary[inner - 1] = True
-            if np.any((diffs <= 0) & ~boundary):
+            if unsorted_rows(self.indptr, self.indices).size:
                 raise SparseFormatError("column indices must be strictly increasing per row")
-            del starts
 
     # ------------------------------------------------------------------
     # basic properties
@@ -241,13 +254,13 @@ class CSRMatrix:
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense 2-D array."""
         out = np.zeros(self.shape, dtype=np.float64)
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         out[rows, self.indices] = self.data
         return out
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate triplets ``(rows, cols, vals)`` (copies)."""
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         return rows, self.indices.copy(), self.data.copy()
 
     # ------------------------------------------------------------------
@@ -309,7 +322,7 @@ class CSRMatrix:
                 return np.zeros(self.ncols, dtype=np.float64)
             out[:] = 0.0
             return out
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         prod = self.data * x[rows]  # before touching out: out= may alias x
         if out is None:
             out = np.zeros(self.ncols, dtype=np.float64)
@@ -328,7 +341,7 @@ class CSRMatrix:
         t_indices = np.empty(nnz, dtype=np.int64)
         t_data = np.empty(nnz, dtype=np.float64)
         # stable counting placement keeps per-row order => sorted columns
-        rows = np.repeat(np.arange(nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         order = np.argsort(self.indices, kind="stable")
         t_indices[:] = rows[order]
         t_data[:] = self.data[order]
@@ -336,13 +349,10 @@ class CSRMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a dense vector (missing entries are 0)."""
-        n = min(self.shape)
-        diag = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            pos = np.searchsorted(self.indices[lo:hi], i)
-            if pos < hi - lo and self.indices[lo + pos] == i:
-                diag[i] = self.data[lo + pos]
+        rows = entry_rows(self.indptr)
+        on_diag = np.flatnonzero(self.indices == rows)
+        diag = np.zeros(min(self.shape), dtype=np.float64)
+        diag[rows[on_diag]] = self.data[on_diag]
         return diag
 
     def extract_lower(self, *, strict: bool = False) -> "CSRMatrix":
@@ -354,7 +364,7 @@ class CSRMatrix:
         return self._triangular(lower=False, strict=strict)
 
     def _triangular(self, *, lower: bool, strict: bool) -> "CSRMatrix":
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         if lower:
             mask = self.indices < rows if strict else self.indices <= rows
         else:
@@ -396,7 +406,7 @@ class CSRMatrix:
         scale = np.asarray(scale, dtype=np.float64)
         if scale.shape != (self.nrows,):
             raise ShapeError("scale must have one entry per row")
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         return CSRMatrix(
             self.shape, self.indptr.copy(), self.indices.copy(), self.data * scale[rows],
             check=False,
@@ -411,7 +421,7 @@ class CSRMatrix:
         if mask.shape != self.data.shape:
             raise ShapeError("mask must align with stored entries")
         keep = ~mask
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         new_indptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.add.at(new_indptr, rows[keep] + 1, 1)
         np.cumsum(new_indptr, out=new_indptr)

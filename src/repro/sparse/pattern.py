@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError, SparseFormatError
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, entry_rows, unsorted_rows
 
 __all__ = ["SparsityPattern", "threshold_pattern", "power_pattern"]
 
@@ -48,10 +48,9 @@ class SparsityPattern:
             raise SparseFormatError("indices length mismatch")
         if nnz and (self.indices.min() < 0 or self.indices.max() >= ncols):
             raise SparseFormatError("column index out of range")
-        for i in range(nrows):
-            row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise SparseFormatError(f"row {i} not strictly increasing")
+        bad = unsorted_rows(self.indptr, self.indices)
+        if bad.size:
+            raise SparseFormatError(f"row {bad[0]} not strictly increasing")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -127,60 +126,32 @@ class SparsityPattern:
         return bool(pos < row.size and row[pos] == j)
 
     # ------------------------------------------------------------------
-    def union(self, other: "SparsityPattern") -> "SparsityPattern":
-        """Set union of two patterns of identical shape."""
+    def _keyed(self, other: "SparsityPattern", op) -> "SparsityPattern":
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        nrows = self.nrows
-        parts = []
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for i in range(nrows):
-            merged = np.union1d(self.row(i), other.row(i))
-            parts.append(merged)
-            indptr[i + 1] = indptr[i] + merged.size
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SparsityPattern(self.shape, indptr, indices, check=False)
+        return _from_keys(self.shape, op(entry_keys(self), entry_keys(other)))
+
+    def union(self, other: "SparsityPattern") -> "SparsityPattern":
+        """Set union of two patterns of identical shape."""
+        return self._keyed(other, np.union1d)
 
     def intersection(self, other: "SparsityPattern") -> "SparsityPattern":
         """Set intersection of two patterns of identical shape."""
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        nrows = self.nrows
-        parts = []
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for i in range(nrows):
-            both = np.intersect1d(self.row(i), other.row(i), assume_unique=True)
-            parts.append(both)
-            indptr[i + 1] = indptr[i] + both.size
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SparsityPattern(self.shape, indptr, indices, check=False)
+        return self._keyed(other, lambda a, b: np.intersect1d(a, b, assume_unique=True))
 
     def difference(self, other: "SparsityPattern") -> "SparsityPattern":
         """Entries of ``self`` not present in ``other``."""
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        nrows = self.nrows
-        parts = []
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for i in range(nrows):
-            only = np.setdiff1d(self.row(i), other.row(i), assume_unique=True)
-            parts.append(only)
-            indptr[i + 1] = indptr[i] + only.size
-        indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return SparsityPattern(self.shape, indptr, indices, check=False)
+        return self._keyed(other, lambda a, b: np.setdiff1d(a, b, assume_unique=True))
 
     def issubset(self, other: "SparsityPattern") -> bool:
         """True when every entry of ``self`` is in ``other``."""
         if self.shape != other.shape:
             return False
-        for i in range(self.nrows):
-            if np.setdiff1d(self.row(i), other.row(i), assume_unique=True).size:
-                return False
-        return True
+        return bool(np.isin(entry_keys(self), entry_keys(other), assume_unique=True).all())
 
     def lower(self, *, strict: bool = False) -> "SparsityPattern":
         """Lower-triangular restriction (``col <= row``, or ``<`` when strict)."""
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         mask = self.indices < rows if strict else self.indices <= rows
         keep = np.flatnonzero(mask)
         indptr = np.zeros(self.nrows + 1, dtype=np.int64)
@@ -191,12 +162,8 @@ class SparsityPattern:
     def with_diagonal(self) -> "SparsityPattern":
         """Union with the identity pattern (FSAI requires diagonal entries)."""
         n = min(self.shape)
-        eye = SparsityPattern.identity(self.nrows) if self.nrows == self.ncols else None
-        if eye is None:
-            rows = [[] for _ in range(self.nrows)]
-            for i in range(n):
-                rows[i] = [i]
-            eye = SparsityPattern.from_rows(self.shape, rows)
+        indptr = np.minimum(np.arange(self.nrows + 1, dtype=np.int64), n)
+        eye = SparsityPattern(self.shape, indptr, np.arange(n, dtype=np.int64), check=False)
         return self.union(eye)
 
     def transpose(self) -> "SparsityPattern":
@@ -204,7 +171,7 @@ class SparsityPattern:
         indptr = np.zeros(self.ncols + 1, dtype=np.int64)
         np.add.at(indptr, self.indices + 1, 1)
         np.cumsum(indptr, out=indptr)
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
+        rows = entry_rows(self.indptr)
         order = np.argsort(self.indices, kind="stable")
         return SparsityPattern(
             (self.ncols, self.nrows), indptr, rows[order], check=False
@@ -240,6 +207,21 @@ class SparsityPattern:
         return f"SparsityPattern(shape={self.shape}, nnz={self.nnz})"
 
 
+def entry_keys(pat: SparsityPattern | CSRMatrix) -> np.ndarray:
+    """One key per stored entry, ``row * ncols + col``.  The keys of a valid
+    pattern or CSR matrix are sorted and unique, so per-row set algebra is
+    set algebra on keys."""
+    return entry_rows(pat.indptr) * pat.ncols + pat.indices
+
+
+def _from_keys(shape: tuple[int, int], keys: np.ndarray) -> SparsityPattern:
+    """The pattern whose entry keys are ``keys`` (sorted, unique)."""
+    rows, cols = np.divmod(keys, max(shape[1], 1))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return SparsityPattern(shape, indptr, cols, check=False)
+
+
 # ----------------------------------------------------------------------
 # module-level pattern constructors (Alg. 1 steps 1–2)
 # ----------------------------------------------------------------------
@@ -254,7 +236,7 @@ def threshold_pattern(mat: CSRMatrix, threshold: float) -> SparsityPattern:
     diag = np.abs(mat.diagonal())
     # guard zero diagonals: treat the scale as 1 so plain |a_ij| > t applies
     diag[diag == 0.0] = 1.0
-    rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
+    rows = entry_rows(mat.indptr)
     scale = np.sqrt(diag[rows] * diag[mat.indices])
     keep = (np.abs(mat.data) > threshold * scale) | (rows == mat.indices)
     sel = np.flatnonzero(keep)

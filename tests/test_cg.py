@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import build_fsai, cg, pcg
+from repro.core import build_fsai, cg, pcg, pipelined_pcg
 from repro.core.baselines import jacobi_preconditioner
 from repro.dist import DistMatrix, DistVector, RowPartition
 from repro.errors import ConvergenceError
@@ -76,6 +76,25 @@ class TestPlainCG:
         assert result.converged == (result.final_residual <= 0.0)
         bg = b.to_global()
         assert residual(mat, result.x.to_global(), bg) <= 1e-12 * np.linalg.norm(bg)
+
+    def test_pipelined_rtol_zero_stops_when_recurrence_vanishes(self):
+        # regression: pipelined_pcg stepped with alpha = 0 up to
+        # max_iterations once rᵀu was 0, where pcg stops on rᵀz = 0; with
+        # ‖r‖ = 0 both stop converged, by the same rule as pcg
+        n = 4
+        part = RowPartition.contiguous(n, 2)
+        da = DistMatrix.from_global(CSRMatrix.identity(n), part)
+        b = DistVector.from_global(np.array([1.0, 2.0, -3.0, 0.5]), part)
+
+        def rotate(r, tracker=None):  # u ⟂ r on every rank: rᵀu = 0 exactly
+            return DistVector(part, [np.array([v[1], -v[0]]) for v in r.parts])
+
+        for solve in (pcg, pipelined_pcg):
+            stalled = solve(da, b, precond=rotate, rtol=0.0, max_iterations=500)
+            assert (stalled.iterations, stalled.converged) == (0, False)
+            exact = solve(da, b, rtol=0.0, max_iterations=500)
+            assert (exact.iterations, exact.converged) == (1, True)
+            assert exact.final_residual == 0.0
 
     def test_breakdown_on_indefinite(self):
         dense = np.array([[1.0, 4.0], [4.0, 1.0]])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
+from repro.instrument import NULL_TRACER, get_tracer, tracing
 from repro.matgen import poisson2d
 from repro.partition import (
     Graph,
@@ -18,6 +19,7 @@ from repro.partition import (
     partition_matrix,
     strip_partition,
 )
+from repro.partition import multilevel
 from repro.partition.coarsen import coarsen_once, contract, heavy_edge_matching
 from repro.partition.refine import bisection_balance, fm_refine
 from repro.sparse import SparsityPattern
@@ -155,6 +157,37 @@ class TestMultilevel:
         rng = np.random.default_rng(0)
         random_part = rng.integers(0, 4, g.num_vertices)
         assert g.edge_cut(part) < g.edge_cut(random_part) / 3
+
+
+class TestPartitionSpans:
+    PHASES = ["partition.coarsen", "partition.initial_bisection", "partition.refine"]
+
+    def test_bisect_splits_into_phase_spans_under_tracing(self):
+        with tracing() as (tracer, _):
+            partition_matrix(poisson2d(16), 3)
+        names = [s.name for s in tracer.spans]
+        # two bisections (3 = 1 + 2), each coarsen -> initial bisection -> refine
+        assert names == self.PHASES * 2
+        coarsen = tracer.by_name("partition.coarsen")[0]
+        assert coarsen.tags["vertices"] == 256
+        assert tracer.by_name("partition.refine")[0].tags["levels"] >= 2
+
+    def test_phase_spans_are_the_null_span_when_tracing_is_off(self, monkeypatch):
+        opened = []
+
+        class Spy:
+            def __init__(self, tracer):
+                self.tracer = tracer
+
+            def span(self, name, **tags):
+                ctx = self.tracer.span(name, **tags)
+                opened.append((name, ctx))
+                return ctx
+
+        monkeypatch.setattr(multilevel, "get_tracer", lambda: Spy(get_tracer()))
+        bisect(graph_from_matrix(poisson2d(16)))
+        assert [name for name, _ in opened] == self.PHASES
+        assert all(ctx is NULL_TRACER.span(name) for name, ctx in opened)
 
 
 class TestGeometric:
